@@ -1,4 +1,5 @@
-// E2 — the paper's example queries Q1..Q6 over synthetic corpora of
+// E2 — the paper's example queries Q1..Q6, plus the serving mix's
+// ranked (Q7) and group-by (Q8) statements, over synthetic corpora of
 // increasing size (reference engine). Regenerates the "the language
 // answers the paper's queries" evidence; latency scaling is the
 // measured series. Query texts live in bench_util.h (PaperQueryMix),
@@ -64,6 +65,17 @@ void BM_Q6_PositionComparison(benchmark::State& state) {
   RunQuery(state, PaperQueryText("Q6_PositionComparison"));
 }
 BENCHMARK(BM_Q6_PositionComparison)->Arg(10)->Arg(50)->Arg(200);
+
+void BM_Q7_RankedRetrieval(benchmark::State& state) {
+  // Naive rank is the brute-force scan: every document is tokenized.
+  RunQuery(state, PaperQueryText("Q7_RankedRetrieval"));
+}
+BENCHMARK(BM_Q7_RankedRetrieval)->Arg(10)->Arg(50)->Arg(200);
+
+void BM_Q8_CountByStatus(benchmark::State& state) {
+  RunQuery(state, PaperQueryText("Q8_CountByStatus"));
+}
+BENCHMARK(BM_Q8_CountByStatus)->Arg(10)->Arg(50)->Arg(200);
 
 // E11 — the text-heavy queries on the algebraic engine, optimizer off
 // vs on (index pushdown + filter pushdown + branch pruning). The
@@ -148,6 +160,24 @@ void BM_Q5_Algebraic_Opt(benchmark::State& state) {
   RunPrepared(state, PaperQueryText("Q5_AttributeGrep"), true);
 }
 BENCHMARK(BM_Q5_Algebraic_Opt)->Arg(10)->Arg(50)->Arg(200);
+
+// Q7 runs as a TopKScore leaf over the postings (no optimizer input);
+// Q8 is the §5.4 `..` expansion under a GroupAggregate — its shared
+// schema-path prefixes and per-branch BuildPath are what E19 measures.
+void BM_Q7_Algebraic_Opt(benchmark::State& state) {
+  RunPrepared(state, PaperQueryText("Q7_RankedRetrieval"), true);
+}
+BENCHMARK(BM_Q7_Algebraic_Opt)->Arg(10)->Arg(50)->Arg(200);
+
+void BM_Q8_Algebraic_NoOpt(benchmark::State& state) {
+  RunPrepared(state, PaperQueryText("Q8_CountByStatus"), false);
+}
+BENCHMARK(BM_Q8_Algebraic_NoOpt)->Arg(10)->Arg(50)->Arg(200);
+
+void BM_Q8_Algebraic_Opt(benchmark::State& state) {
+  RunPrepared(state, PaperQueryText("Q8_CountByStatus"), true);
+}
+BENCHMARK(BM_Q8_Algebraic_Opt)->Arg(10)->Arg(50)->Arg(200);
 
 // --articles N adds large-corpus variants of the optimizer series on
 // demand (the static cases above stay at their fixed sizes): the

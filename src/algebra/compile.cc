@@ -26,6 +26,14 @@ using path::SchemaStep;
 
 namespace {
 
+/// A tracked path variable's schema path plus the columns holding its
+/// [*] positions / {*} elements, waiting for its BuildPath.
+struct PendingPath {
+  std::string var;
+  std::vector<SchemaStep> steps;
+  std::vector<std::string> slots;
+};
+
 /// One alternative under construction: a plan plus the static types of
 /// its columns.
 struct Branch {
@@ -45,9 +53,9 @@ class Compiler {
     std::vector<FormulaPtr> conjuncts;
     SGMLQDB_RETURN_IF_ERROR(Flatten(query.body, &conjuncts));
 
-    // A path variable's concrete path is materialized (a per-row,
-    // per-step cost) only when something actually consumes it: the
-    // head, or any second conjunct mentioning it.
+    // A path variable's concrete path is materialized (one BuildPath
+    // per branch, a per-row cost) only when something actually
+    // consumes it: the head, or any second conjunct mentioning it.
     {
       std::map<std::string, size_t> uses;
       for (const Variable& v : query.head) {
@@ -321,6 +329,9 @@ class Compiler {
       // steps may overwrite in place (column pruning: avoids one map
       // entry per navigation step).
       bool col_is_scratch = false;
+      // Tracked path variables expanded on this cursor whose values
+      // are built only once the predicate's last step has run.
+      std::vector<PendingPath> pending_paths;
     };
     std::vector<Cur> curs;
     for (Branch& b : current) {
@@ -340,7 +351,10 @@ class Compiler {
       if (curs.empty()) break;  // statically empty result
     }
     std::vector<Branch> out;
-    for (Cur& c : curs) out.push_back(std::move(c.branch));
+    for (Cur& c : curs) {
+      BuildPendingPaths(&c);
+      out.push_back(std::move(c.branch));
+    }
     if (out.empty()) {
       // All branches died statically: an empty UnionAll branch set
       // would lose column info; keep an empty plan.
@@ -357,10 +371,10 @@ class Compiler {
                         std::vector<CurT>* out) {
     switch (comp.kind) {
       case PathComponent::Kind::kDeref:
-        return ApplyDeref(std::move(cur), "", out);
+        return ApplyDeref(std::move(cur), out);
       case PathComponent::Kind::kAttrSel: {
         if (!comp.attr.is_variable) {
-          return ApplyAttr(std::move(cur), comp.attr.name, "", out);
+          return ApplyAttr(std::move(cur), comp.attr.name, out);
         }
         sorts_.emplace(comp.attr.name, Sort::kAttr);
         // Expand: one branch per available attribute.
@@ -372,7 +386,7 @@ class Compiler {
           CurT c2 = cur;
           std::string attr = c2.type.FieldName(i);
           std::string tmp = NextCursorCol(c2);
-          c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp, "");
+          c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp);
           // Bind the attribute variable column (string) with check.
           c2.branch.plan = BindOrCheckConst(c2.branch.plan, comp.attr.name,
                                             Value::String(attr));
@@ -440,6 +454,7 @@ class Compiler {
         // navigates along the stored path.
         if (bound_path_vars_.count(comp.var) > 0) {
           CurT c2 = std::move(cur);
+          BuildPendingPaths(&c2);  // the stored path is read below
           std::string tmp = NextCursorCol(c2);
           c2.branch.plan =
               Compute(c2.branch.plan, tmp,
@@ -456,64 +471,117 @@ class Compiler {
           return Status::OK();
         }
         bound_path_vars_.insert(comp.var);
-        const bool tracked = tracked_path_vars_.count(comp.var) > 0;
-        const std::string path_col = tracked ? comp.var : std::string();
-        std::vector<SchemaPath> candidates = path::EnumerateSchemaPaths(
-            schema_, cur.type, path::SchemaPathOptions{});
-        for (const SchemaPath& sp : candidates) {
-          CurT c2 = cur;
-          if (tracked) {
-            c2.branch.plan = EmptyPathCol(c2.branch.plan, comp.var);
-          }
-          bool dead = false;
-          for (const SchemaStep& step : sp.steps) {
-            switch (step.kind()) {
-              case SchemaStep::Kind::kAttr: {
-                std::string tmp = NextCursorCol(c2);
-                c2.branch.plan = AttrStep(c2.branch.plan, c2.col,
-                                          step.name(), tmp, path_col);
-                c2.col = tmp;
-                break;
-              }
-              case SchemaStep::Kind::kIndexAny: {
-                std::string tmp = NextCursorCol(c2);
-                c2.branch.plan =
-                    UnnestList(c2.branch.plan, c2.col, tmp, "", path_col);
-                c2.col = tmp;
-                break;
-              }
-              case SchemaStep::Kind::kSetAny: {
-                std::string tmp = NextCursorCol(c2);
-                c2.branch.plan =
-                    UnnestSet(c2.branch.plan, c2.col, tmp, path_col);
-                c2.col = tmp;
-                break;
-              }
-              case SchemaStep::Kind::kDeref: {
-                std::string tmp = NextCursorCol(c2);
-                c2.branch.plan =
-                    ClassFilter(c2.branch.plan, c2.col, step.name());
-                c2.branch.plan =
-                    DerefStep(c2.branch.plan, c2.col, tmp, path_col);
-                c2.col = tmp;
-                break;
-              }
-            }
-          }
-          if (dead) continue;
-          c2.type = sp.result_type;
-          c2.branch.types[c2.col] = c2.type;
-          out->push_back(std::move(c2));
-        }
+        ExpandPathVar(comp.var, std::move(cur), out);
         return Status::OK();
       }
     }
     return Status::Internal("unhandled path component in compiler");
   }
 
+  /// Replaces a fresh path variable by every schema path from the
+  /// cursor's static type (§5.4), one output cursor per schema path in
+  /// enumeration order. The schema paths form a trie: a step prefix
+  /// common to several paths is planned once, and the branches below
+  /// it share that plan node, so execution walks it once (Memo). A
+  /// tracked variable's value is not accumulated step by step: each
+  /// list unnest keeps its position and each set unnest its element
+  /// in a column of their own, and one BuildPath per branch assembles
+  /// the path from them after the predicate's remaining steps — so
+  /// only rows that survive the whole predicate pay for it.
   template <typename CurT>
-  Status ApplyDeref(CurT cur, const std::string& path_col,
-                    std::vector<CurT>* out) {
+  void ExpandPathVar(const std::string& var, CurT cur,
+                     std::vector<CurT>* out) {
+    const bool tracked = tracked_path_vars_.count(var) > 0;
+    struct TrieNode {
+      CurT cur;
+      // Columns holding the position / element of each [*] / {*}
+      // step so far, in step order (tracked variables only).
+      std::vector<std::string> slots;
+      std::map<std::pair<SchemaStep::Kind, std::string>, size_t> kids;
+    };
+    std::vector<TrieNode> trie;
+    trie.push_back(TrieNode{std::move(cur), {}, {}});
+    for (const SchemaPath& sp : path::EnumerateSchemaPaths(
+             schema_, trie[0].cur.type, path::SchemaPathOptions{})) {
+      size_t node = 0;
+      for (const SchemaStep& step : sp.steps) {
+        auto key = std::make_pair(step.kind(), step.name());
+        auto it = trie[node].kids.find(key);
+        if (it != trie[node].kids.end()) {
+          node = it->second;
+          continue;
+        }
+        TrieNode child{trie[node].cur, trie[node].slots, {}};
+        ApplySchemaStep(step, tracked, &child.cur, &child.slots);
+        trie[node].kids.emplace(key, trie.size());
+        node = trie.size();
+        trie.push_back(std::move(child));
+      }
+      CurT c2 = trie[node].cur;
+      if (tracked) {
+        c2.pending_paths.push_back(
+            PendingPath{var, sp.steps, trie[node].slots});
+      }
+      c2.type = sp.result_type;
+      c2.branch.types[c2.col] = c2.type;
+      out->push_back(std::move(c2));
+    }
+  }
+
+  template <typename CurT>
+  void BuildPendingPaths(CurT* c) {
+    for (PendingPath& p : c->pending_paths) {
+      c->branch.plan = BuildPath(c->branch.plan, std::move(p.var),
+                                 std::move(p.steps), std::move(p.slots));
+    }
+    c->pending_paths.clear();
+  }
+
+  /// Plans one schema step on `c`. With `tracked`, a [*] step also
+  /// binds its position and a {*} step leaves its element in a column
+  /// no later step overwrites; either column is appended to `slots`.
+  template <typename CurT>
+  void ApplySchemaStep(const SchemaStep& step, bool tracked, CurT* c,
+                       std::vector<std::string>* slots) {
+    switch (step.kind()) {
+      case SchemaStep::Kind::kAttr: {
+        std::string tmp = NextCursorCol(*c);
+        c->branch.plan = AttrStep(c->branch.plan, c->col, step.name(), tmp);
+        c->col = tmp;
+        return;
+      }
+      case SchemaStep::Kind::kIndexAny: {
+        std::string tmp = NextCursorCol(*c);
+        std::string pos = tracked ? NewTmp() : std::string();
+        c->branch.plan = UnnestList(c->branch.plan, c->col, tmp, pos);
+        c->col = tmp;
+        if (tracked) slots->push_back(pos);
+        return;
+      }
+      case SchemaStep::Kind::kSetAny: {
+        std::string tmp = tracked ? NewTmp() : NextCursorCol(*c);
+        c->branch.plan = UnnestSet(c->branch.plan, c->col, tmp);
+        c->col = tmp;
+        if (tracked) {
+          // The element is the path's {v} step: the next navigation
+          // step must write a fresh scratch column instead.
+          c->col_is_scratch = false;
+          slots->push_back(tmp);
+        }
+        return;
+      }
+      case SchemaStep::Kind::kDeref: {
+        std::string tmp = NextCursorCol(*c);
+        c->branch.plan = ClassFilter(c->branch.plan, c->col, step.name());
+        c->branch.plan = DerefStep(c->branch.plan, c->col, tmp);
+        c->col = tmp;
+        return;
+      }
+    }
+  }
+
+  template <typename CurT>
+  Status ApplyDeref(CurT cur, std::vector<CurT>* out) {
     std::vector<std::string> classes;
     if (cur.type.kind() == TypeKind::kClass) {
       classes = schema_.SubclassesOf(cur.type.class_name());
@@ -538,7 +606,7 @@ class Compiler {
       CurT c2 = cur;
       std::string tmp = NextCursorCol(c2);
       c2.branch.plan = ClassFilter(c2.branch.plan, c2.col, cls);
-      c2.branch.plan = DerefStep(c2.branch.plan, c2.col, tmp, path_col);
+      c2.branch.plan = DerefStep(c2.branch.plan, c2.col, tmp);
       c2.col = tmp;
       c2.type = effective.value();
       c2.branch.types[tmp] = c2.type;
@@ -549,14 +617,14 @@ class Compiler {
 
   template <typename CurT>
   Status ApplyAttr(CurT cur, const std::string& attr,
-                   const std::string& path_col, std::vector<CurT>* out) {
+                   std::vector<CurT>* out) {
     if (cur.type.kind() == TypeKind::kTuple ||
         cur.type.kind() == TypeKind::kUnion) {
       std::optional<Type> ft = cur.type.FindField(attr);
       if (!ft.has_value()) return Status::OK();  // dead
       CurT c2 = std::move(cur);
       std::string tmp = NextCursorCol(c2);
-      c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp, path_col);
+      c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp);
       c2.col = tmp;
       c2.type = *ft;
       c2.branch.types[tmp] = c2.type;
@@ -567,7 +635,7 @@ class Compiler {
       // Unknown static type: attempt the step dynamically.
       CurT c2 = std::move(cur);
       std::string tmp = NextCursorCol(c2);
-      c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp, path_col);
+      c2.branch.plan = AttrStep(c2.branch.plan, c2.col, attr, tmp);
       c2.col = tmp;
       c2.type = Type::Any();
       c2.branch.types[tmp] = c2.type;

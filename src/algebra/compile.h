@@ -11,7 +11,9 @@
 // attributes available at its position. The result is a UnionAll of
 // plans with no path/attribute variables — each a chain of navigation
 // operators — exactly the paper's "union of queries with no attribute
-// or path variables".
+// or path variables". Branches that expand a path variable along a
+// common schema-path prefix share that prefix's plan nodes (a trie),
+// so execution navigates it once.
 //
 // Atoms the expander cannot turn into navigation (negations,
 // interpreted predicates, comparisons) become Filter operators,

@@ -87,27 +87,6 @@ Status GuardCountRows(const ExecContext& ctx, size_t n) {
   return guard->CountRows(n);
 }
 
-/// Appends a step to a path column (stored as a path value).
-Result<Value> AppendToPathCol(const Value& current, PathStep step) {
-  SGMLQDB_ASSIGN_OR_RETURN(Path p, Path::FromValue(current));
-  return p.Append(std::move(step)).ToValue();
-}
-
-Status ExtendPath(Row* row, const std::string& path_col, PathStep step) {
-  if (path_col.empty()) return Status::OK();
-  auto it = row->find(path_col);
-  Value current =
-      it == row->end() ? Path().ToValue() : it->second;
-  SGMLQDB_ASSIGN_OR_RETURN(Value next, AppendToPathCol(current, step));
-  (*row)[path_col] = std::move(next);
-  return Status::OK();
-}
-
-/// Adds `col` to `out` unless empty.
-void AddCol(std::vector<std::string>* out, const std::string& col) {
-  if (!col.empty()) out->push_back(col);
-}
-
 class RootScanNode : public Node {
  public:
   RootScanNode(std::string root, std::string col)
@@ -191,12 +170,11 @@ class UnaryNode : public Node {
 class AttrStepNode : public UnaryNode {
  public:
   AttrStepNode(PlanPtr input, std::string col, std::string attr,
-               std::string out, std::string path_col)
+               std::string out)
       : UnaryNode(std::move(input)),
         col_(std::move(col)),
         attr_(std::move(attr)),
-        out_(std::move(out)),
-        path_col_(std::move(path_col)) {}
+        out_(std::move(out)) {}
 
   Status Transform(const ExecContext&, Row row,
                    std::vector<Row>* out) const override {
@@ -207,8 +185,6 @@ class AttrStepNode : public UnaryNode {
     std::optional<Value> f = it->second.FindField(attr_);
     if (!f.has_value()) return Status::OK();  // drop (variant select)
     row[out_] = *f;
-    SGMLQDB_RETURN_IF_ERROR(ExtendPath(&row, path_col_,
-                                       PathStep::Attr(attr_)));
     out->push_back(std::move(row));
     return Status::OK();
   }
@@ -221,13 +197,11 @@ class AttrStepNode : public UnaryNode {
 
   PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
     return std::make_shared<AttrStepNode>(std::move(children[0]), col_,
-                                          attr_, out_, path_col_);
+                                          attr_, out_);
   }
 
   std::vector<std::string> IntroducedColumns() const override {
-    std::vector<std::string> out = {out_};
-    AddCol(&out, path_col_);
-    return out;
+    return {out_};
   }
 
   bool NavColumns(std::string* in, std::string* out) const override {
@@ -237,17 +211,15 @@ class AttrStepNode : public UnaryNode {
   }
 
  private:
-  std::string col_, attr_, out_, path_col_;
+  std::string col_, attr_, out_;
 };
 
 class DerefStepNode : public UnaryNode {
  public:
-  DerefStepNode(PlanPtr input, std::string col, std::string out,
-                std::string path_col)
+  DerefStepNode(PlanPtr input, std::string col, std::string out)
       : UnaryNode(std::move(input)),
         col_(std::move(col)),
-        out_(std::move(out)),
-        path_col_(std::move(path_col)) {}
+        out_(std::move(out)) {}
 
   Status Transform(const ExecContext& ctx, Row row,
                    std::vector<Row>* out) const override {
@@ -258,7 +230,6 @@ class DerefStepNode : public UnaryNode {
     Result<Value> v = ctx.db()->Deref(it->second.AsObject());
     if (!v.ok()) return Status::OK();  // dangling: drop
     row[out_] = std::move(v).value();
-    SGMLQDB_RETURN_IF_ERROR(ExtendPath(&row, path_col_, PathStep::Deref()));
     out->push_back(std::move(row));
     return Status::OK();
   }
@@ -271,13 +242,11 @@ class DerefStepNode : public UnaryNode {
 
   PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
     return std::make_shared<DerefStepNode>(std::move(children[0]), col_,
-                                           out_, path_col_);
+                                           out_);
   }
 
   std::vector<std::string> IntroducedColumns() const override {
-    std::vector<std::string> out = {out_};
-    AddCol(&out, path_col_);
-    return out;
+    return {out_};
   }
 
   bool NavColumns(std::string* in, std::string* out) const override {
@@ -287,7 +256,7 @@ class DerefStepNode : public UnaryNode {
   }
 
  private:
-  std::string col_, out_, path_col_;
+  std::string col_, out_;
 };
 
 class ClassFilterNode : public UnaryNode {
@@ -329,12 +298,11 @@ class ClassFilterNode : public UnaryNode {
 class UnnestListNode : public UnaryNode {
  public:
   UnnestListNode(PlanPtr input, std::string col, std::string out,
-                 std::string pos_col, std::string path_col)
+                 std::string pos_col)
       : UnaryNode(std::move(input)),
         col_(std::move(col)),
         out_(std::move(out)),
-        pos_col_(std::move(pos_col)),
-        path_col_(std::move(path_col)) {}
+        pos_col_(std::move(pos_col)) {}
 
   Status Transform(const ExecContext&, Row row,
                    std::vector<Row>* out) const override {
@@ -352,8 +320,6 @@ class UnnestListNode : public UnaryNode {
       if (!pos_col_.empty()) {
         r[pos_col_] = Value::Integer(static_cast<int64_t>(i));
       }
-      SGMLQDB_RETURN_IF_ERROR(ExtendPath(
-          &r, path_col_, PathStep::Index(static_cast<int64_t>(i))));
       out->push_back(std::move(r));
     }
     return Status::OK();
@@ -367,13 +333,12 @@ class UnnestListNode : public UnaryNode {
 
   PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
     return std::make_shared<UnnestListNode>(std::move(children[0]), col_,
-                                            out_, pos_col_, path_col_);
+                                            out_, pos_col_);
   }
 
   std::vector<std::string> IntroducedColumns() const override {
     std::vector<std::string> out = {out_};
-    AddCol(&out, pos_col_);
-    AddCol(&out, path_col_);
+    if (!pos_col_.empty()) out.push_back(pos_col_);
     return out;
   }
 
@@ -384,18 +349,17 @@ class UnnestListNode : public UnaryNode {
   }
 
  private:
-  std::string col_, out_, pos_col_, path_col_;
+  std::string col_, out_, pos_col_;
 };
 
 class IndexStepNode : public UnaryNode {
  public:
   IndexStepNode(PlanPtr input, std::string col, int64_t index,
-                std::string out, std::string path_col)
+                std::string out)
       : UnaryNode(std::move(input)),
         col_(std::move(col)),
         index_(index),
-        out_(std::move(out)),
-        path_col_(std::move(path_col)) {}
+        out_(std::move(out)) {}
 
   Status Transform(const ExecContext&, Row row,
                    std::vector<Row>* out) const override {
@@ -409,8 +373,6 @@ class IndexStepNode : public UnaryNode {
       return Status::OK();
     }
     row[out_] = list.Element(static_cast<size_t>(index_));
-    SGMLQDB_RETURN_IF_ERROR(ExtendPath(&row, path_col_,
-                                       PathStep::Index(index_)));
     out->push_back(std::move(row));
     return Status::OK();
   }
@@ -424,13 +386,11 @@ class IndexStepNode : public UnaryNode {
 
   PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
     return std::make_shared<IndexStepNode>(std::move(children[0]), col_,
-                                           index_, out_, path_col_);
+                                           index_, out_);
   }
 
   std::vector<std::string> IntroducedColumns() const override {
-    std::vector<std::string> out = {out_};
-    AddCol(&out, path_col_);
-    return out;
+    return {out_};
   }
 
   bool NavColumns(std::string* in, std::string* out) const override {
@@ -442,17 +402,15 @@ class IndexStepNode : public UnaryNode {
  private:
   std::string col_;
   int64_t index_;
-  std::string out_, path_col_;
+  std::string out_;
 };
 
 class UnnestSetNode : public UnaryNode {
  public:
-  UnnestSetNode(PlanPtr input, std::string col, std::string out,
-                std::string path_col)
+  UnnestSetNode(PlanPtr input, std::string col, std::string out)
       : UnaryNode(std::move(input)),
         col_(std::move(col)),
-        out_(std::move(out)),
-        path_col_(std::move(path_col)) {}
+        out_(std::move(out)) {}
 
   Status Transform(const ExecContext&, Row row,
                    std::vector<Row>* out) const override {
@@ -465,8 +423,6 @@ class UnnestSetNode : public UnaryNode {
     for (size_t i = 0; i < set.size(); ++i) {
       Row r = row;
       r[out_] = set.Element(i);
-      SGMLQDB_RETURN_IF_ERROR(
-          ExtendPath(&r, path_col_, PathStep::SetElem(set.Element(i))));
       out->push_back(std::move(r));
     }
     return Status::OK();
@@ -480,13 +436,11 @@ class UnnestSetNode : public UnaryNode {
 
   PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
     return std::make_shared<UnnestSetNode>(std::move(children[0]), col_,
-                                           out_, path_col_);
+                                           out_);
   }
 
   std::vector<std::string> IntroducedColumns() const override {
-    std::vector<std::string> out = {out_};
-    AddCol(&out, path_col_);
-    return out;
+    return {out_};
   }
 
   bool NavColumns(std::string* in, std::string* out) const override {
@@ -496,7 +450,81 @@ class UnnestSetNode : public UnaryNode {
   }
 
  private:
-  std::string col_, out_, path_col_;
+  std::string col_, out_;
+};
+
+/// The one place a tracked path variable's value is built: after the
+/// last step of its schema path, from the static template plus the
+/// slot columns the unnests filled. Steps that drop a row upstream
+/// never pay for its path.
+class BuildPathNode : public UnaryNode {
+ public:
+  BuildPathNode(PlanPtr input, std::string out,
+                std::vector<path::SchemaStep> steps,
+                std::vector<std::string> slot_cols)
+      : UnaryNode(std::move(input)),
+        out_(std::move(out)),
+        steps_(std::move(steps)),
+        slot_cols_(std::move(slot_cols)) {
+    // Static steps are encoded once; slots are filled per row. The
+    // description names each slot's column: ".sections[__c4]->Section".
+    for (const path::SchemaStep& step : steps_) {
+      using Kind = path::SchemaStep::Kind;
+      if (step.kind() == Kind::kIndexAny || step.kind() == Kind::kSetAny) {
+        const bool set = step.kind() == Kind::kSetAny;
+        const std::string& col = slot_cols_[slot_at_.size()];
+        slot_at_.push_back(template_.size());
+        template_.push_back(Value::Nil());
+        description_ += set ? "{" + col + "}" : "[" + col + "]";
+      } else if (step.kind() == Kind::kDeref) {
+        template_.push_back(PathStep::Deref().ToValue());
+        description_ += "->" + step.name();
+      } else {
+        template_.push_back(PathStep::Attr(step.name()).ToValue());
+        description_ += step.ToString();
+      }
+    }
+    if (description_.empty()) description_ = "<empty>";
+  }
+
+  Status Transform(const ExecContext&, Row row,
+                   std::vector<Row>* out) const override {
+    std::vector<Value> elems = template_;
+    for (size_t i = 0; i < slot_at_.size(); ++i) {
+      auto it = row.find(slot_cols_[i]);
+      if (it == row.end()) return Status::OK();
+      const size_t at = slot_at_[i];
+      elems[at] = steps_[at].kind() == path::SchemaStep::Kind::kSetAny
+                      ? PathStep::SetElem(it->second).ToValue()
+                      : PathStep::Index(it->second.AsInteger()).ToValue();
+    }
+    row[out_] = Value::List(std::move(elems));
+    out->push_back(std::move(row));
+    return Status::OK();
+  }
+
+  std::string Describe() const override {
+    return "BuildPath " + description_ + " -> " + out_;
+  }
+
+  NodeKind kind() const override { return NodeKind::kBuildPath; }
+
+  PlanPtr WithChildren(std::vector<PlanPtr> children) const override {
+    return std::make_shared<BuildPathNode>(std::move(children[0]), out_,
+                                           steps_, slot_cols_);
+  }
+
+  std::vector<std::string> IntroducedColumns() const override {
+    return {out_};
+  }
+
+ private:
+  std::string out_;
+  std::vector<path::SchemaStep> steps_;
+  std::vector<std::string> slot_cols_;
+  std::vector<Value> template_;  // one encoded step per schema step
+  std::vector<size_t> slot_at_;  // template_ index of each slot column
+  std::string description_;
 };
 
 class ConstColNode : public UnaryNode {
@@ -1397,46 +1425,42 @@ PlanPtr RootScan(std::string root_name, std::string col) {
 }
 PlanPtr Unit() { return std::make_shared<UnitNode>(); }
 PlanPtr AttrStep(PlanPtr input, std::string col, std::string attr,
-                 std::string out, std::string path_col) {
+                 std::string out) {
   return std::make_shared<AttrStepNode>(std::move(input), std::move(col),
-                                        std::move(attr), std::move(out),
-                                        std::move(path_col));
+                                        std::move(attr), std::move(out));
 }
-PlanPtr DerefStep(PlanPtr input, std::string col, std::string out,
-                  std::string path_col) {
+PlanPtr DerefStep(PlanPtr input, std::string col, std::string out) {
   return std::make_shared<DerefStepNode>(std::move(input), std::move(col),
-                                         std::move(out),
-                                         std::move(path_col));
+                                         std::move(out));
 }
 PlanPtr ClassFilter(PlanPtr input, std::string col, std::string class_name) {
   return std::make_shared<ClassFilterNode>(std::move(input), std::move(col),
                                            std::move(class_name));
 }
 PlanPtr UnnestList(PlanPtr input, std::string col, std::string out,
-                   std::string pos_col, std::string path_col) {
+                   std::string pos_col) {
   return std::make_shared<UnnestListNode>(std::move(input), std::move(col),
-                                          std::move(out), std::move(pos_col),
-                                          std::move(path_col));
+                                          std::move(out), std::move(pos_col));
 }
 PlanPtr IndexStep(PlanPtr input, std::string col, int64_t index,
-                  std::string out, std::string path_col) {
+                  std::string out) {
   return std::make_shared<IndexStepNode>(std::move(input), std::move(col),
-                                         index, std::move(out),
-                                         std::move(path_col));
+                                         index, std::move(out));
 }
-PlanPtr UnnestSet(PlanPtr input, std::string col, std::string out,
-                  std::string path_col) {
+PlanPtr UnnestSet(PlanPtr input, std::string col, std::string out) {
   return std::make_shared<UnnestSetNode>(std::move(input), std::move(col),
-                                         std::move(out),
-                                         std::move(path_col));
+                                         std::move(out));
+}
+PlanPtr BuildPath(PlanPtr input, std::string out,
+                  std::vector<path::SchemaStep> steps,
+                  std::vector<std::string> slot_cols) {
+  return std::make_shared<BuildPathNode>(std::move(input), std::move(out),
+                                         std::move(steps),
+                                         std::move(slot_cols));
 }
 PlanPtr ConstCol(PlanPtr input, std::string out, om::Value value) {
   return std::make_shared<ConstColNode>(std::move(input), std::move(out),
                                         std::move(value));
-}
-PlanPtr EmptyPathCol(PlanPtr input, std::string out) {
-  return std::make_shared<ConstColNode>(std::move(input), std::move(out),
-                                        Path().ToValue());
 }
 PlanPtr BindOrCheck(PlanPtr input, std::string src, std::string dst) {
   return std::make_shared<BindOrCheckNode>(std::move(input), std::move(src),

@@ -6,8 +6,10 @@
 //  * VariantSelect / AttrStep drop rows whose tuple lacks the selected
 //    attribute — this is the "variant-based selection (using implicit
 //    selectors) over heterogeneous sets" the paper calls for;
-//  * navigation steps optionally accumulate the concrete path taken
-//    into a path column, making paths first-class in the algebra too;
+//  * BuildPath assembles the concrete path a §5.4 branch took from its
+//    schema-path template and the positions / set elements its unnests
+//    left in their own columns, making paths first-class in the algebra
+//    too — built once per surviving row, never per step;
 //  * IndexSemiJoin / IndexNearJoin answer `contains` / `near` filters
 //    through the inverted index's candidate sets (§4.1/§6) instead of
 //    matching every row's text.
@@ -33,6 +35,7 @@
 #include "calculus/formula.h"
 #include "om/database.h"
 #include "path/path.h"
+#include "path/schema_paths.h"
 #include "text/pattern.h"
 
 namespace sgmlqdb::algebra {
@@ -56,6 +59,7 @@ enum class NodeKind {
   kUnnestList,
   kIndexStep,
   kUnnestSet,
+  kBuildPath,
   kConstCol,
   kBindOrCheck,
   kCompute,
@@ -216,14 +220,12 @@ PlanPtr RootScan(std::string root_name, std::string col);
 PlanPtr Unit();
 
 /// For each input row: bind `out` to field `attr` of tuple `col`;
-/// rows without the attribute are dropped (implicit selector). If
-/// `path_col` is non-empty, appends ".attr" to that path column.
+/// rows without the attribute are dropped (implicit selector).
 PlanPtr AttrStep(PlanPtr input, std::string col, std::string attr,
-                 std::string out, std::string path_col = "");
+                 std::string out);
 
 /// Dereference the object in `col` into `out` (drops nil / dangling).
-PlanPtr DerefStep(PlanPtr input, std::string col, std::string out,
-                  std::string path_col = "");
+PlanPtr DerefStep(PlanPtr input, std::string col, std::string out);
 
 /// Keep rows whose `col` is an object of class `class_name` (or a
 /// subclass).
@@ -232,21 +234,26 @@ PlanPtr ClassFilter(PlanPtr input, std::string col, std::string class_name);
 /// Unnest the list in `col`: one output row per element, bound to
 /// `out`; `pos_col` (optional) receives the integer index.
 PlanPtr UnnestList(PlanPtr input, std::string col, std::string out,
-                   std::string pos_col = "", std::string path_col = "");
+                   std::string pos_col = "");
 
 /// Select list element at a constant index.
 PlanPtr IndexStep(PlanPtr input, std::string col, int64_t index,
-                  std::string out, std::string path_col = "");
+                  std::string out);
 
 /// Unnest the set in `col` into `out`.
-PlanPtr UnnestSet(PlanPtr input, std::string col, std::string out,
-                  std::string path_col = "");
+PlanPtr UnnestSet(PlanPtr input, std::string col, std::string out);
+
+/// Bind `out` to the path value (Path::ToValue encoding) of one
+/// instance of the schema path `steps`: attribute and dereference
+/// steps come from the template; each [*] / {*} step takes its list
+/// position / set element from the next of `slot_cols`, in order.
+/// Rows missing a slot column are dropped.
+PlanPtr BuildPath(PlanPtr input, std::string out,
+                  std::vector<path::SchemaStep> steps,
+                  std::vector<std::string> slot_cols);
 
 /// Bind `out` to a constant in every row.
 PlanPtr ConstCol(PlanPtr input, std::string out, om::Value value);
-
-/// Bind `out` to an empty-path value (start of a path accumulator).
-PlanPtr EmptyPathCol(PlanPtr input, std::string out);
 
 /// Copy `src` to `dst`; if `dst` already exists, keep only rows where
 /// the values are equal (capture-variable semantics).

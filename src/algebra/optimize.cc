@@ -169,6 +169,7 @@ bool IsTransparentNode(NodeKind k) {
     case NodeKind::kUnnestList:
     case NodeKind::kIndexStep:
     case NodeKind::kUnnestSet:
+    case NodeKind::kBuildPath:
     case NodeKind::kConstCol:
     case NodeKind::kBindOrCheck:
     case NodeKind::kCompute:

@@ -180,7 +180,11 @@ Result<uint64_t> DocumentStore::PublishIngest(
   if (next == nullptr) {
     return Status::InvalidArgument("ingest session already published");
   }
-  return snapshots_.Publish(std::move(next));
+  uint64_t epoch = snapshots_.Publish(std::move(next));
+  // Only now release the writer latch: a second writer that began
+  // before the publish would clone the old epoch and drop this batch.
+  session.reset();
+  return epoch;
 }
 
 std::shared_ptr<const ingest::StoreSnapshot> DocumentStore::snapshot() const {

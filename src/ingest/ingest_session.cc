@@ -57,12 +57,11 @@ IngestSession::~IngestSession() {
 }
 
 std::shared_ptr<StoreSnapshot> IngestSession::Consume() {
+  // The latch stays held: the session's owner (PublishIngest) destroys
+  // it only after the snapshot is published, so the next writer always
+  // clones the epoch this one produced.
   std::shared_ptr<StoreSnapshot> out = std::move(work_);
   work_ = nullptr;
-  if (release_ != nullptr) {
-    release_();
-    release_ = nullptr;
-  }
   return out;
 }
 

@@ -47,8 +47,9 @@ class IngestSession {
   };
 
   /// Opens a session over `base` (the snapshot the workspace is
-  /// cloned from). `release` fires exactly once — at publish or on
-  /// destruction — and is how DocumentStore clears its single-writer
+  /// cloned from). `release` fires exactly once, on destruction —
+  /// after PublishIngest has published, or when the session is
+  /// abandoned — and is how DocumentStore clears its single-writer
   /// latch. Use DocumentStore::BeginIngest rather than constructing
   /// directly.
   IngestSession(const sgml::Dtd& dtd,
@@ -106,7 +107,8 @@ class IngestSession {
   friend class sgmlqdb::DocumentStore;
 
   /// Hands the workspace over for publishing (the session becomes
-  /// inert) and fires the release hook.
+  /// inert). The release hook does not fire here but on destruction,
+  /// after the caller has published.
   std::shared_ptr<StoreSnapshot> Consume();
 
   const sgml::Dtd& dtd_;

@@ -95,25 +95,24 @@ bool operator<(const Path& a, const Path& b) {
   return Value::Compare(a.ToValue(), b.ToValue()) < 0;
 }
 
+om::Value PathStep::ToValue() const {
+  switch (kind_) {
+    case Kind::kAttr:
+      return Value::Tuple({{"attr", Value::String(attr_)}});
+    case Kind::kIndex:
+      return Value::Tuple({{"index", Value::Integer(index_)}});
+    case Kind::kDeref:
+      return Value::Tuple({{"deref", Value::Nil()}});
+    case Kind::kSetElem:
+      return Value::Tuple({{"elem", elem_}});
+  }
+  return Value::Nil();
+}
+
 om::Value Path::ToValue() const {
   std::vector<Value> elems;
   elems.reserve(steps_.size());
-  for (const PathStep& s : steps_) {
-    switch (s.kind()) {
-      case PathStep::Kind::kAttr:
-        elems.push_back(Value::Tuple({{"attr", Value::String(s.attr())}}));
-        break;
-      case PathStep::Kind::kIndex:
-        elems.push_back(Value::Tuple({{"index", Value::Integer(s.index())}}));
-        break;
-      case PathStep::Kind::kDeref:
-        elems.push_back(Value::Tuple({{"deref", Value::Nil()}}));
-        break;
-      case PathStep::Kind::kSetElem:
-        elems.push_back(Value::Tuple({{"elem", s.elem()}}));
-        break;
-    }
-  }
+  for (const PathStep& s : steps_) elems.push_back(s.ToValue());
   return Value::List(std::move(elems));
 }
 

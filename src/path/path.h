@@ -49,6 +49,9 @@ class PathStep {
   /// ".sections", "[0]", "->", "{v}".
   std::string ToString() const;
 
+  /// This step's element of Path::ToValue's list encoding.
+  om::Value ToValue() const;
+
  private:
   PathStep(Kind kind) : kind_(kind), index_(0) {}  // NOLINT
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+
+#include "corpus/workload.h"
 #include "mapping/loader.h"
 #include "mapping/schema_compiler.h"
+#include "oql/oql.h"
 #include "sgml/goldens.h"
 
 namespace sgmlqdb::algebra {
@@ -263,6 +268,116 @@ TEST_F(AlgebraTest, BranchCountGrowsWithSchemaNotData) {
   auto compiled = CompileQuery(schema.value(), q);
   ASSERT_TRUE(compiled.ok()) << compiled.status();
   EXPECT_GE(compiled->branch_count, 4u);  // article/sections a1/a2/subsectn
+}
+
+TEST_F(AlgebraTest, Q8SharesTheSectionsUnnestAcrossBranches) {
+  // The §5.4 expansion plans each schema-path prefix once: the
+  // `.sections[*]` unnest the status-reaching branches start with is
+  // one node object that several union branches reach, optimizer on
+  // or off.
+  for (bool optimize : {false, true}) {
+    oql::OqlOptions options;
+    options.engine = oql::Engine::kAlgebraic;
+    options.optimize = optimize;
+    auto prepared = oql::Prepare(
+        db_.schema(), corpus::PaperQuery("Q8_CountByStatus").text, options);
+    ASSERT_TRUE(prepared.ok()) << prepared.status();
+    ASSERT_TRUE(prepared->compiled.has_value());
+    EXPECT_GT(prepared->compiled->branch_count, 1u);
+    // Every node object, and how many union branches reach it.
+    const PlanPtr& union_all = prepared->compiled->plan->children()[0];
+    ASSERT_EQ(union_all->kind(), NodeKind::kUnionAll);
+    std::map<const Node*, size_t> branches_reaching;
+    for (const PlanPtr& branch : union_all->children()) {
+      std::set<const Node*> seen;
+      std::function<void(const PlanPtr&)> walk = [&](const PlanPtr& node) {
+        if (!seen.insert(node.get()).second) return;
+        ++branches_reaching[node.get()];
+        for (const PlanPtr& c : node->children()) walk(c);
+      };
+      walk(branch);
+    }
+    std::vector<const Node*> unnests;
+    for (const auto& [node, count] : branches_reaching) {
+      if (node->kind() == NodeKind::kUnnestList &&
+          node->children()[0]->kind() == NodeKind::kAttrStep &&
+          node->children()[0]->Describe().find(".sections ") !=
+              std::string::npos) {
+        unnests.push_back(node);
+      }
+    }
+    ASSERT_EQ(unnests.size(), 1u) << PlanToString(prepared->compiled->plan);
+    EXPECT_GT(branches_reaching[unnests[0]], 1u) << "optimize=" << optimize;
+  }
+}
+
+TEST_F(AlgebraTest, TrackedPathIsBuiltOncePerBranchAfterItsLastStep) {
+  // `select PATH_p` keeps the path: one BuildPath per branch, above the
+  // predicate's trailing `.title` step, printing its step template.
+  Query q;
+  q.head = {PathVar("P")};
+  q.body = Formula::PathPred(DataTerm::Name("my_article"),
+                             PathTerm::Var("P") + PathTerm::Attr("title"));
+  auto compiled = CompileQuery(db_.schema(), q);
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  const PlanPtr& union_all = compiled->plan->children()[0];
+  ASSERT_EQ(union_all->kind(), NodeKind::kUnionAll);
+  for (const PlanPtr& branch : union_all->children()) {
+    // Project <- BuildPath <- AttrStep .title.
+    const PlanPtr& build = branch->children()[0];
+    ASSERT_EQ(build->kind(), NodeKind::kBuildPath) << PlanToString(branch);
+    EXPECT_EQ(build->children()[0]->kind(), NodeKind::kAttrStep);
+  }
+  std::string plan = PlanToString(compiled->plan);
+  EXPECT_NE(plan.find("BuildPath ->Article.sections[__c"), std::string::npos)
+      << plan;
+}
+
+TEST(AlgebraSetPathTest, TrackedPathsThroughSetElementsAgree) {
+  // The paper DTDs have no sets; a hand-built schema does. A tracked
+  // path through {*} carries the element itself, filled from the
+  // unnest's own column.
+  om::Schema schema;
+  ASSERT_TRUE(schema
+                  .AddClass({"Tag", om::Type::Tuple({{"name", om::Type::String()}}),
+                             {}, {}, {}})
+                  .ok());
+  ASSERT_TRUE(
+      schema
+          .AddClass({"Doc",
+                     om::Type::Tuple(
+                         {{"tags", om::Type::Set(om::Type::Class("Tag"))},
+                          {"parts", om::Type::List(om::Type::Class("Tag"))}}),
+                     {}, {}, {}})
+          .ok());
+  ASSERT_TRUE(schema.AddName("D", om::Type::Class("Doc")).ok());
+  om::Database db(std::move(schema));
+  auto tag = [&db](const char* name) {
+    return Value::Object(
+        db.NewObject("Tag", Value::Tuple({{"name", Value::String(name)}}))
+            .value());
+  };
+  Value a = tag("a"), b = tag("b"), c = tag("c");
+  auto doc = db.NewObject(
+      "Doc", Value::Tuple({{"tags", Value::Set({a, b})},
+                           {"parts", Value::List({c, a})}}));
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE(db.BindName("D", Value::Object(*doc)).ok());
+  EvalContext ctx;
+  ctx.db = &db;
+
+  Query q;
+  q.head = {PathVar("P"), DataVar("X")};
+  q.body = Formula::PathPred(
+      DataTerm::Name("D"),
+      PathTerm::Var("P") + PathTerm::Attr("name") + PathTerm::Capture("X"));
+  auto naive = calculus::EvaluateQuery(ctx, q);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  auto algebraic = EvaluateAlgebraic(ctx, db.schema(), q);
+  ASSERT_TRUE(algebraic.ok()) << algebraic.status();
+  EXPECT_EQ(naive.value(), algebraic.value());
+  // Two set elements plus two list elements reach a `name`.
+  EXPECT_EQ(naive->size(), 4u) << naive.value();
 }
 
 }  // namespace

@@ -77,20 +77,47 @@ TEST_F(OpsTest, DerefAndClassFilter) {
 }
 
 TEST_F(OpsTest, UnnestListWithPositionsAndPaths) {
-  auto plan = AttrStep(RootScan("Doc", "d"), "d", "sections", "ss", "p");
-  auto rows = Run(UnnestList(EmptyPathCol(plan, "p2"), "ss", "s", "i", "p"));
+  auto plan = AttrStep(RootScan("Doc", "d"), "d", "sections", "ss");
+  plan = UnnestList(plan, "ss", "s", "i");
+  plan = BuildPath(plan, "p",
+                   {path::SchemaStep::Attr("sections"),
+                    path::SchemaStep::IndexAny()},
+                   {"i"});
+  auto rows = Run(plan);
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].at("i"), Value::Integer(0));
   EXPECT_EQ(rows[1].at("i"), Value::Integer(1));
   auto p = path::Path::FromValue(rows[1].at("p"));
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->ToString(), ".sections[1]");
+  EXPECT_EQ(plan->Describe(), "BuildPath .sections[i] -> p");
 }
 
 TEST_F(OpsTest, UnnestSetEnumeratesElements) {
   auto plan = AttrStep(RootScan("Doc", "d"), "d", "tags", "ts");
   auto rows = Run(UnnestSet(plan, "ts", "tag"));
   EXPECT_EQ(rows.size(), 2u);
+}
+
+TEST_F(OpsTest, BuildPathEncodesSetElementsAndDerefs) {
+  // {*} takes the element from its slot column; -> and .a come from
+  // the template. The encoding is Path::ToValue's.
+  auto plan = AttrStep(RootScan("Doc", "d"), "d", "tags", "ts");
+  plan = UnnestSet(plan, "ts", "tag");
+  plan = BuildPath(plan, "p",
+                   {path::SchemaStep::Attr("tags"), path::SchemaStep::SetAny(),
+                    path::SchemaStep::Deref("Title")},
+                   {"tag"});
+  auto rows = Run(plan);
+  ASSERT_EQ(rows.size(), 2u);
+  path::Path expected({path::PathStep::Attr("tags"),
+                       path::PathStep::SetElem(rows[0].at("tag")),
+                       path::PathStep::Deref()});
+  EXPECT_EQ(rows[0].at("p"), expected.ToValue());
+  // A row without its slot column is dropped.
+  auto missing = BuildPath(RootScan("Doc", "d"), "p",
+                           {path::SchemaStep::IndexAny()}, {"nope"});
+  EXPECT_TRUE(Run(missing).empty());
 }
 
 TEST_F(OpsTest, IndexStepOutOfRangeDrops) {

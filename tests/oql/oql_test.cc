@@ -24,14 +24,22 @@ class OqlTest : public ::testing::Test {
     EXPECT_TRUE(a2.ok()) << a2.status();
   }
 
-  /// Runs the statement under both engines and checks they agree.
+  /// Runs the statement under both engines, the algebraic one with the
+  /// optimizer on and off, and checks all three agree.
   Value Run(std::string_view q) {
     auto naive = store_.Query(q, Engine::kNaive);
     EXPECT_TRUE(naive.ok()) << naive.status() << "\nquery: " << q;
-    auto algebraic = store_.Query(q, Engine::kAlgebraic);
-    EXPECT_TRUE(algebraic.ok()) << algebraic.status() << "\nquery: " << q;
-    if (naive.ok() && algebraic.ok()) {
-      EXPECT_EQ(naive.value(), algebraic.value()) << "query: " << q;
+    for (bool optimize : {true, false}) {
+      DocumentStore::QueryOptions options;
+      options.engine = Engine::kAlgebraic;
+      options.optimize = optimize;
+      auto algebraic = store_.Query(q, options);
+      EXPECT_TRUE(algebraic.ok())
+          << algebraic.status() << "\nquery: " << q << " optimize=" << optimize;
+      if (naive.ok() && algebraic.ok()) {
+        EXPECT_EQ(naive.value(), algebraic.value())
+            << "query: " << q << " optimize=" << optimize;
+      }
     }
     return naive.ok() ? std::move(naive).value() : Value::Nil();
   }
@@ -105,6 +113,22 @@ TEST_F(OqlTest, Q3AllTitlesWithExplicitPathVariable) {
   // And the paths themselves are queryable.
   Value paths = Run("select PATH_p from my_article PATH_p.title(t)");
   EXPECT_EQ(paths.size(), 3u);
+  // Tracked paths through list indices and derefs, ending deep in the
+  // bodies (IDREF attributes) or beside their capture.
+  Value deep = Run("select PATH_p from my_article PATH_p.reflabel(r)");
+  EXPECT_GT(deep.size(), 0u);
+  for (size_t i = 0; i < deep.size(); ++i) {
+    auto p = path::Path::FromValue(deep.Element(i));
+    ASSERT_TRUE(p.ok()) << deep.Element(i);
+    EXPECT_NE(p->ToString().find("[0]"), std::string::npos) << *p;
+  }
+  Run("select tuple(p: PATH_p, t: t) from my_article PATH_p.title(t)");
+  Run("select PATH_p from a in Articles, a PATH_p.caption(c)");
+  // Group-by over `..` (the anonymous path is tracked: every scope
+  // variable is a distinct-binding column) and over a path function.
+  Run("select count(t) from my_article .. title(t) group by t");
+  Run("select count(a) from a in Articles, a PATH_p.title(t) "
+      "group by length(PATH_p)");
 }
 
 TEST_F(OqlTest, Q4StructuralDifference) {

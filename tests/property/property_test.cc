@@ -124,13 +124,24 @@ TEST_P(CorpusProperty, NaiveAndAlgebraicEnginesAgree) {
       "select s from a in Articles, s in a.sections",
       "select a from a in Articles where count(a.authors) > 1",
       "select i from doc PATH_p.sections[i]",
+      // Tracked paths through list indices, derefs and IDREFs, and a
+      // group-by over `..`.
+      "select PATH_p from doc PATH_p.reflabel(r)",
+      "select tuple(p: PATH_p, t: t) from doc PATH_p.title(t)",
+      "select count(t) from doc .. title(t) group by t",
   };
   for (const char* q : kQueries) {
     auto naive = store.Query(q, oql::Engine::kNaive);
-    auto algebraic = store.Query(q, oql::Engine::kAlgebraic);
     ASSERT_TRUE(naive.ok()) << naive.status() << " for " << q;
-    ASSERT_TRUE(algebraic.ok()) << algebraic.status() << " for " << q;
-    EXPECT_EQ(naive.value(), algebraic.value()) << q;
+    for (bool optimize : {true, false}) {
+      DocumentStore::QueryOptions options;
+      options.engine = oql::Engine::kAlgebraic;
+      options.optimize = optimize;
+      auto algebraic = store.Query(q, options);
+      ASSERT_TRUE(algebraic.ok()) << algebraic.status() << " for " << q;
+      EXPECT_EQ(naive.value(), algebraic.value())
+          << q << " optimize=" << optimize;
+    }
   }
 }
 

@@ -57,6 +57,12 @@ const std::vector<std::string>& RankWorkload() {
       "select min(a) from a in Articles, a .. status(v) group by v",
       "select max(s) from a in Articles, s in a.sections, "
       "a .. status(v) group by v",
+      // Tracked paths through list indices and derefs: grouped by a
+      // path function, and a path-valued head on one document.
+      "select count(a) from a in Articles, a PATH_p.title(t) "
+      "group by length(PATH_p)",
+      "select count(a) from a in Articles, a .. caption(c) group by a",
+      "select PATH_p from doc3 PATH_p.reflabel(r)",
       // Order-by, both directions (oid order == document order).
       "select a from a in Articles order by a",
       "select a from a in Articles order by a desc",
@@ -78,18 +84,20 @@ TEST(RankParityTest, ByteIdenticalAcrossShardCountsAndEngines) {
     options.branch_threads = 2;
     service::QueryService service(*store, options);
     for (const std::string& q : RankWorkload()) {
-      for (oql::Engine engine :
-           {oql::Engine::kNaive, oql::Engine::kAlgebraic}) {
+      // naive, algebraic, algebraic with the optimizer off.
+      for (int config = 0; config < 3; ++config) {
         service::QueryService::QueryOptions qo;
-        qo.engine = engine;
+        qo.engine = config == 0 ? oql::Engine::kNaive : oql::Engine::kAlgebraic;
+        qo.optimize = config != 2;
         Result<om::Value> r = service.ExecuteSync(q, qo);
         ASSERT_TRUE(r.ok()) << q << " shards=" << shards << ": " << r.status();
         const std::string rendered = r->ToString();
         auto [it, inserted] = expected.emplace(q, rendered);
         if (!inserted) {
           EXPECT_EQ(rendered, it->second)
-              << q << " diverged at shards=" << shards << " engine="
-              << (engine == oql::Engine::kNaive ? "naive" : "algebraic");
+              << q << " diverged at shards=" << shards << " config="
+              << (config == 0 ? "naive" : config == 1 ? "algebraic"
+                                                      : "algebraic-noopt");
         }
       }
     }

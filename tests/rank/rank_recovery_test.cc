@@ -30,6 +30,8 @@ const std::vector<std::string>& RankedWorkload() {
       "rank(Articles by (\"sgml\" and \"query\")) limit 5",
       "rank(Articles by (\"object\" or \"algebra\"))",
       "select count(a) from a in Articles, a .. status(v) group by v",
+      "select count(a) from a in Articles, a PATH_p.title(t) "
+      "group by length(PATH_p)",
       "select a from a in Articles order by a desc",
   };
   return queries;
