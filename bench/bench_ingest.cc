@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +100,74 @@ BENCHMARK(BM_IngestReplacePublish)
     ->Arg(50)
     ->Arg(200)
     ->Iterations(60);
+
+/// Removal cost against store size: each iteration opens a session on
+/// a 1-shard store, removes one document and publishes (timed), then
+/// loads the document again under the same name (untimed), so the
+/// store keeps its size. The splice re-encodes only the blocks that
+/// held the document, so remove_call_ms (the RemoveDocument call) and
+/// postings_rewritten should not grow with the store; session_open_ms,
+/// the session's clone of the published state, does.
+void BM_IngestRemoveDocument(benchmark::State& state) {
+  std::unique_ptr<DocumentStore> store = FreshStore(state.range(0));
+  auto load_live = [&] {
+    auto session = store->BeginIngest();
+    return session.ok() &&
+           (*session)->LoadDocument(LiveArticles()[0], "live").ok() &&
+           store->PublishIngest(std::move(*session)).ok();
+  };
+  if (!load_live()) {
+    state.SkipWithError("seed ingest failed");
+    return;
+  }
+  uint64_t removals = 0;
+  uint64_t rewritten = 0;
+  uint64_t removed = 0;
+  uint64_t terms = 0;
+  std::chrono::steady_clock::duration open{};
+  std::chrono::steady_clock::duration remove_call{};
+  for (auto _ : state) {
+    const auto before = store->text_index().maintenance_stats();
+    const auto start = std::chrono::steady_clock::now();
+    auto session = store->BeginIngest();
+    const auto opened = std::chrono::steady_clock::now();
+    const bool removed_ok =
+        session.ok() && (*session)->RemoveDocument("live").ok();
+    open += opened - start;
+    remove_call += std::chrono::steady_clock::now() - opened;
+    if (!removed_ok || !store->PublishIngest(std::move(*session)).ok()) {
+      state.SkipWithError("remove failed");
+      return;
+    }
+    state.PauseTiming();
+    const auto after = store->text_index().maintenance_stats();
+    ++removals;
+    rewritten += after.postings_rewritten - before.postings_rewritten;
+    removed += after.postings_removed - before.postings_removed;
+    terms += after.term_copies - before.term_copies;
+    if (!load_live()) {
+      state.SkipWithError("reload failed");
+      return;
+    }
+    state.ResumeTiming();
+  }
+  const double n = removals == 0 ? 1.0 : static_cast<double>(removals);
+  state.counters["articles"] = static_cast<double>(state.range(0));
+  state.counters["postings_rewritten_per_removal"] =
+      static_cast<double>(rewritten) / n;
+  state.counters["postings_removed_per_removal"] =
+      static_cast<double>(removed) / n;
+  state.counters["terms_per_removal"] = static_cast<double>(terms) / n;
+  state.counters["session_open_ms"] =
+      std::chrono::duration<double, std::milli>(open).count() / n;
+  state.counters["remove_call_ms"] =
+      std::chrono::duration<double, std::milli>(remove_call).count() / n;
+}
+BENCHMARK(BM_IngestRemoveDocument)
+    ->Unit(benchmark::kMillisecond)
+    ->Arg(100)
+    ->Arg(400)
+    ->Iterations(40);
 
 constexpr const char* kReaderQuery = "Q1_TitleAndFirstAuthor";
 

@@ -46,8 +46,8 @@ cmake --build build-tsan -j "$jobs" --target service_test sharded_test algebra_t
 ctest --test-dir build-tsan --output-on-failure -R '^ServiceTest|ThreadPool|PlanCache|QueryService|OptimizeParity|OptimizeShape|ParallelUnion|IngestTest|SnapshotIsolation|ServerTest|PostingsRoundtrip|GallopingParity|PostingsCow|ShardedIngestRace|ShardedParity|RankIngestRace|RankParity'
 
 cmake -B build-asan -S . -DSGMLQDB_SANITIZE=address,undefined
-cmake --build build-asan -j "$jobs" --target base_test service_test sharded_test sgml_test property_test net_test rank_test
-ctest --test-dir build-asan --output-on-failure -R '^ExecGuard|FaultInjection|QueryService|DocumentParser|OqlFuzz|ServerTest|HttpParser|FrameParser|JsonParse|ShardedStoreTest|ShardedIngestTest|RankOql|RankRecovery'
+cmake --build build-asan -j "$jobs" --target base_test service_test sharded_test sgml_test property_test net_test rank_test text_test ingest_test
+ctest --test-dir build-asan --output-on-failure -R '^ExecGuard|FaultInjection|QueryService|DocumentParser|OqlFuzz|ServerTest|HttpParser|FrameParser|JsonParse|ShardedStoreTest|ShardedIngestTest|RankOql|RankRecovery|PostingsSplice|IndexRemoval|IngestTest'
 
 # Durability crash matrix: WAL fault-point x kill-point sweep. Reuses
 # the build-asan tree above for the in-process fault matrix, then

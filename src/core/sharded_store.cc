@@ -227,22 +227,26 @@ Result<ShardedStore::IngestResult> ShardedStore::Ingest(
     return result;
   }
 
-  // -- Open one session per touched shard (per-shard latches). -----------
-  std::vector<std::unique_ptr<ingest::IngestSession>> sessions;
-  sessions.reserve(touched.size());
-  for (size_t s : touched) {
-    Result<std::unique_ptr<ingest::IngestSession>> session =
-        shards_[s]->BeginIngest();
-    if (!session.ok()) return session.status();  // opened ones auto-release
-    sessions.push_back(std::move(session).value());
-  }
-
-  // -- Apply per-shard slices, in parallel across shards. ----------------
-  // Each slot holds (global index, status) of the shard's first
-  // failure; the smallest index wins the batch's error.
+  // -- Open one session per touched shard (per-shard latches) and apply
+  // its slice, in parallel across shards. Opening clones the shard's
+  // published state, so it runs inside the shard's task too. ----------
+  std::vector<std::unique_ptr<ingest::IngestSession>> sessions(
+      touched.size());
+  // A session that cannot open fails the batch ahead of every apply
+  // failure, the lowest touched shard first; otherwise each slot holds
+  // (global index, status) of the shard's first apply failure and the
+  // smallest index wins the batch's error.
+  std::vector<Status> open_failures(touched.size(), Status::OK());
   std::vector<std::pair<size_t, Status>> failures(
       touched.size(), {0, Status::OK()});
   auto apply_one = [&](size_t k) {
+    Result<std::unique_ptr<ingest::IngestSession>> opened =
+        shards_[touched[k]]->BeginIngest();
+    if (!opened.ok()) {
+      open_failures[k] = opened.status();
+      return;
+    }
+    sessions[k] = std::move(opened).value();
     ingest::IngestSession* session = sessions[k].get();
     for (const ShardTask& task : plan[touched[k]]) {
       Status st;
@@ -277,6 +281,12 @@ Result<ShardedStore::IngestResult> ShardedStore::Ingest(
     for (size_t k = 0; k < touched.size(); ++k) apply_one(k);
   }
 
+  for (const Status& st : open_failures) {
+    if (!st.ok()) {
+      sessions.clear();  // releases every latch that did open
+      return st;
+    }
+  }
   const std::pair<size_t, Status>* first_failure = nullptr;
   for (const auto& f : failures) {
     if (f.second.ok()) continue;

@@ -132,32 +132,36 @@ Status IngestSession::RemoveDocumentRoot(ObjectId root) {
   SGMLQDB_FAULT_POINT("ingest.apply");
   om::Database* db = work_->db.get();
   // Every element object of the document is a unit mapped to the
-  // root's oid (including the root itself).
+  // root's oid (including the root itself), inside the unit range the
+  // corpus stats' document table keeps for the root.
+  const rank::CorpusStats::DocEntry* doc =
+      work_->rank_stats->FindDoc(root.id());
   std::vector<uint64_t> units;
-  for (const auto& [unit, doc] : *work_->unit_docs) {
-    if (doc == root.id()) units.push_back(unit);
+  if (doc != nullptr) {
+    for (auto it = work_->unit_docs->lower_bound(doc->first_unit);
+         it != work_->unit_docs->end() && it->first <= doc->last_unit; ++it) {
+      if (it->second == root.id()) units.push_back(it->first);
+    }
   }
   if (units.empty()) {
     return Status::NotFound("oid " + std::to_string(root.id()) +
                             " is not a loaded document root");
   }
   // Un-account the document before its texts are erased (the stats
-  // re-tokenize exactly the removed texts — delta-proportional).
-  std::vector<std::pair<uint64_t, std::string_view>> rank_units;
-  rank_units.reserve(units.size());
+  // and the index re-tokenize exactly the removed texts —
+  // delta-proportional).
+  std::vector<std::pair<uint64_t, std::string_view>> texts;
+  texts.reserve(units.size());
   for (uint64_t unit : units) {
     auto text_it = work_->element_texts->find(unit);
     if (text_it != work_->element_texts->end()) {
-      rank_units.emplace_back(unit, text_it->second);
+      texts.emplace_back(unit, text_it->second);
     }
   }
-  work_->rank_stats->RemoveDocument(root.id(), rank_units);
+  work_->rank_stats->RemoveDocument(root.id(), texts);
+  work_->index->RemoveDocument(texts);
   for (uint64_t unit : units) {
-    auto text_it = work_->element_texts->find(unit);
-    if (text_it != work_->element_texts->end()) {
-      work_->index->Remove(unit, text_it->second);
-      work_->element_texts->erase(text_it);
-    }
+    work_->element_texts->erase(unit);
     work_->unit_docs->erase(unit);
     SGMLQDB_RETURN_IF_ERROR(db->RemoveObject(ObjectId(unit)));
     ++stats_.units_removed;

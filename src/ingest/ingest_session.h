@@ -11,9 +11,13 @@
 // the SnapshotManager for the atomic epoch swap.
 //
 // Index maintenance is incremental: loading a document Add()s its
-// units to the cloned index, removing a document Remove()s exactly
-// its units (re-tokenizing only the removed texts) — no full rebuild,
-// ever. The index's maintenance_stats() prove it.
+// units to the cloned index; removing one finds its units by the unit
+// range the corpus stats keep for its root and hands them to one
+// InvertedIndex::RemoveDocument call, which re-tokenizes only the
+// removed texts and splices each affected postings list once — no
+// full rebuild, ever. The index's maintenance_stats() prove it. The
+// clone itself still copies the database, element_texts and unit_docs
+// in full, so opening a session costs O(store).
 
 #ifndef SGMLQDB_INGEST_INGEST_SESSION_H_
 #define SGMLQDB_INGEST_INGEST_SESSION_H_

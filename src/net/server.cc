@@ -701,6 +701,7 @@ std::string Server::StatsJson() const {
     m.units_added += sm.units_added;
     m.units_removed += sm.units_removed;
     m.term_copies += sm.term_copies;
+    m.postings_rewritten += sm.postings_rewritten;
   }
   out += "},\"text_index\":{";
   out += "\"terms\":" + std::to_string(terms);
@@ -715,6 +716,7 @@ std::string Server::StatsJson() const {
   out += ",\"units_added\":" + std::to_string(m.units_added);
   out += ",\"units_removed\":" + std::to_string(m.units_removed);
   out += ",\"term_copies\":" + std::to_string(m.term_copies);
+  out += ",\"postings_rewritten\":" + std::to_string(m.postings_rewritten);
   out += "}";
   // Ranked retrieval: the BM25 corpus statistics and top-k execution
   // counters, summed across shards like the text-index block (the

@@ -1,7 +1,7 @@
 #include "text/index.h"
 
 #include <algorithm>
-#include <set>
+#include <cassert>
 #include <unordered_map>
 #include <utility>
 
@@ -123,44 +123,52 @@ void InvertedIndex::Add(UnitId id, std::string_view text) {
   }
 }
 
-void InvertedIndex::Remove(UnitId id, std::string_view text) {
-  auto uit = std::lower_bound(units_.begin(), units_.end(), id);
-  if (uit == units_.end() || *uit != id) return;  // not indexed
-  units_.erase(uit);
-  --unit_count_;
-  ++stats_.units_removed;
-  // Only the removed unit's own terms are touched — distinct terms
-  // once each, regardless of how often they repeat in the text.
-  std::set<std::string> removed_terms;
-  for (const std::string& token : Tokenize(text)) {
-    removed_terms.insert(AsciiToLower(token));
+void InvertedIndex::RemoveDocument(
+    const std::vector<std::pair<UnitId, std::string_view>>& units) {
+  assert(std::adjacent_find(units.begin(), units.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first >= b.first;
+                            }) == units.end());
+  // The removed units of each term, ascending, gathered from one
+  // tokenization of the document's texts.
+  std::vector<UnitId> removed;
+  std::unordered_map<std::string, std::vector<UnitId>> by_term;
+  for (const auto& [id, text] : units) {
+    if (!std::binary_search(units_.begin(), units_.end(), id)) continue;
+    removed.push_back(id);
+    for (const std::string& token : Tokenize(text)) {
+      std::vector<UnitId>& ids = by_term[AsciiToLower(token)];
+      if (ids.empty() || ids.back() != id) ids.push_back(id);
+    }
   }
+  if (removed.empty()) return;
+  units_.erase(std::remove_if(std::lower_bound(units_.begin(), units_.end(),
+                                               removed.front()),
+                              units_.end(),
+                              [&](UnitId u) {
+                                return std::binary_search(
+                                    removed.begin(), removed.end(), u);
+                              }),
+               units_.end());
+  unit_count_ -= removed.size();
+  stats_.units_removed += removed.size();
   bool emptied = false;
-  for (const std::string& term : removed_terms) {
+  for (const auto& [term, ids] : by_term) {
     TermEntry* e = FindMutableEntry(term);
     if (e == nullptr) continue;
-    // Header-guided presence check: no rebuild when the unit never
-    // made it into this term's list.
-    CompressedPostings::Cursor probe = e->list->cursor();
-    if (!probe.SkipToUnit(id) || probe.unit() != id) continue;
-    // Compressed payloads are append-only, so removal rebuilds the
-    // one affected list without the removed unit's postings.
+    SpliceCounters counters;
+    std::optional<CompressedPostings> spliced =
+        e->list->WithoutUnits(ids, &counters);
+    if (!spliced.has_value()) continue;  // none of the units indexed here
     if (e->list.use_count() > 1) ++stats_.term_copies;
-    std::vector<Posting> flat;
-    e->list->DecodeAll(&flat);
-    auto rebuilt = std::make_shared<CompressedPostings>();
-    for (const Posting& p : flat) {
-      if (p.unit == id) {
-        ++stats_.postings_removed;
-        continue;
-      }
-      rebuilt->Append(p.unit, p.position);
-    }
-    if (rebuilt->empty()) {
+    stats_.postings_removed += counters.postings_removed;
+    stats_.postings_rewritten += counters.postings_rewritten;
+    if (spliced->empty()) {
       e->list = nullptr;  // erased below, one pass for all terms
       emptied = true;
     } else {
-      e->list = std::move(rebuilt);
+      e->list = std::make_shared<const CompressedPostings>(
+          std::move(*spliced));
     }
   }
   if (emptied) {

@@ -23,7 +23,11 @@
 // IngestSession clones the published index in O(#terms), applies
 // per-document posting adds/removes, and publishes the clone — the
 // unchanged terms keep sharing their postings with every earlier
-// snapshot and no text is ever re-tokenized.
+// snapshot and no text is ever re-tokenized. A document removal
+// splices each affected term's list once (CompressedPostings::
+// WithoutUnits): untouched blocks are copied as bytes and only the
+// blocks holding the document's units are re-encoded, so its cost
+// follows the document, not the length of the lists it touches.
 
 #ifndef SGMLQDB_TEXT_INDEX_H_
 #define SGMLQDB_TEXT_INDEX_H_
@@ -33,6 +37,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/string_pool.h"
@@ -51,12 +56,16 @@ struct IndexMaintenanceStats {
   /// Add call). A full rebuild would re-count every unit; incremental
   /// maintenance grows this by exactly the new units.
   uint64_t units_added = 0;
-  /// Units removed (each Remove call).
+  /// Indexed units removed by RemoveDocument.
   uint64_t units_removed = 0;
   /// Postings appended by Add.
   uint64_t postings_added = 0;
-  /// Postings dropped by Remove.
+  /// Postings dropped by RemoveDocument.
   uint64_t postings_removed = 0;
+  /// Kept postings RemoveDocument encoded again: those of the blocks
+  /// its splices rewrote (bounded per term by the removed document,
+  /// not by the list's length).
+  uint64_t postings_rewritten = 0;
   /// Copy-on-write term-list copies (shared postings materialized
   /// before mutation).
   uint64_t term_copies = 0;
@@ -91,12 +100,16 @@ class InvertedIndex {
   /// Removed ids may not be re-added.
   void Add(UnitId id, std::string_view text);
 
-  /// Removes a unit previously Add-ed with exactly this text (the
-  /// tokenization must reproduce the indexed terms — callers keep the
-  /// original text, e.g. DocumentStore's element_texts). Touches only
-  /// the removed unit's terms; cost is proportional to the removed
+  /// Removes a document's units: `units` are its (unit id, text)
+  /// pairs in strictly ascending id order, each Add-ed with exactly
+  /// this text (the tokenization must reproduce the indexed terms —
+  /// callers keep the original text, e.g. the snapshot's
+  /// element_texts). Ids that are not indexed are skipped. The texts
+  /// are tokenized once and each affected term's list is spliced once
+  /// for all of the document's units, so the cost follows the removed
   /// document, not the corpus.
-  void Remove(UnitId id, std::string_view text);
+  void RemoveDocument(
+      const std::vector<std::pair<UnitId, std::string_view>>& units);
 
   size_t unit_count() const { return unit_count_; }
   size_t term_count() const { return terms_.size(); }

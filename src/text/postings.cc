@@ -26,6 +26,16 @@ inline uint64_t GetVarint(const uint8_t** p) {
   }
 }
 
+/// Encodes a block's non-first posting after (prev_unit,
+/// prev_position): the unit gap, then the position delta within the
+/// same unit or the absolute position in a new one.
+void PutNext(UnitId prev_unit, uint32_t prev_position, UnitId unit,
+             uint32_t position, std::vector<uint8_t>* out) {
+  const uint64_t gap = unit - prev_unit;
+  PutVarint(gap, out);
+  PutVarint(gap == 0 ? position - prev_position : position, out);
+}
+
 }  // namespace
 
 void CompressedPostings::Append(UnitId unit, uint32_t position) {
@@ -41,13 +51,7 @@ void CompressedPostings::Append(UnitId unit, uint32_t position) {
     PutVarint(position, &bytes_);
   } else {
     Block& b = blocks_.back();
-    uint64_t gap = unit - tail_unit_;
-    PutVarint(gap, &bytes_);
-    if (gap == 0) {
-      PutVarint(position - tail_position_, &bytes_);
-    } else {
-      PutVarint(position, &bytes_);
-    }
+    PutNext(tail_unit_, tail_position_, unit, position, &bytes_);
     b.last_unit = unit;
     ++b.count;
   }
@@ -61,6 +65,143 @@ void CompressedPostings::DecodeAll(std::vector<Posting>* out) const {
   for (Cursor c = cursor(); !c.at_end(); c.Next()) {
     out->push_back(Posting{c.unit(), c.position()});
   }
+}
+
+void CompressedPostings::DecodeBlock(size_t b,
+                                     std::vector<Posting>* out) const {
+  const Block& block = blocks_[b];
+  const uint8_t* p = bytes_.data() + block.offset;
+  UnitId unit = block.first_unit;
+  uint32_t position = static_cast<uint32_t>(GetVarint(&p));
+  out->push_back(Posting{unit, position});
+  for (uint32_t i = 1; i < block.count; ++i) {
+    const uint64_t gap = GetVarint(&p);
+    const uint32_t v = static_cast<uint32_t>(GetVarint(&p));
+    if (gap == 0) {
+      position += v;
+    } else {
+      unit += gap;
+      position = v;
+    }
+    out->push_back(Posting{unit, position});
+  }
+}
+
+void CompressedPostings::AppendBlock(const Posting* postings, size_t n) {
+  assert(n > 0 && n <= kBlockPostings);
+  Block b;
+  b.first_unit = postings[0].unit;
+  b.last_unit = postings[n - 1].unit;
+  b.offset = static_cast<uint32_t>(bytes_.size());
+  b.count = static_cast<uint32_t>(n);
+  PutVarint(postings[0].position, &bytes_);
+  for (size_t i = 1; i < n; ++i) {
+    PutNext(postings[i - 1].unit, postings[i - 1].position, postings[i].unit,
+            postings[i].position, &bytes_);
+  }
+  blocks_.push_back(b);
+  count_ += n;
+  tail_unit_ = postings[n - 1].unit;
+  tail_position_ = postings[n - 1].position;
+}
+
+void CompressedPostings::CopyBlock(const CompressedPostings& src, size_t b) {
+  Block block = src.blocks_[b];
+  const size_t end = b + 1 < src.blocks_.size() ? src.blocks_[b + 1].offset
+                                                : src.bytes_.size();
+  // A block's payload is self-contained (its first unit lives in the
+  // header), so its bytes move verbatim.
+  bytes_.insert(bytes_.end(), src.bytes_.begin() + block.offset,
+                src.bytes_.begin() + static_cast<long>(end));
+  block.offset = static_cast<uint32_t>(bytes_.size() - (end - block.offset));
+  blocks_.push_back(block);
+  count_ += block.count;
+}
+
+std::optional<CompressedPostings> CompressedPostings::WithoutUnits(
+    const std::vector<UnitId>& units, SpliceCounters* counters) const {
+  CompressedPostings out;
+  out.blocks_.reserve(blocks_.size());
+  out.bytes_.reserve(bytes_.size());
+  // The open last block of `out`, decoded: kept postings of rewritten
+  // blocks and the neighbours merged into them. Never more than
+  // kBlockPostings; encoded when the next block cannot join it.
+  std::vector<Posting> pending;
+  std::vector<Posting> decoded;
+  uint64_t removed = 0;
+  uint64_t rewritten = 0;
+  bool last_copied = false;  // out's last block came from CopyBlock
+  auto flush = [&] {
+    if (pending.empty()) return;
+    out.AppendBlock(pending.data(), pending.size());
+    rewritten += pending.size();
+    pending.clear();
+    last_copied = false;
+  };
+  size_t r = 0;  // first removed unit not below the current block
+  for (size_t b = 0; b < blocks_.size(); ++b) {
+    const Block& block = blocks_[b];
+    while (r < units.size() && units[r] < block.first_unit) ++r;
+    // Only a block whose header range holds a removed unit is decoded.
+    const bool scanned = r < units.size() && units[r] <= block.last_unit;
+    bool rewrite = false;
+    if (scanned) {
+      decoded.clear();
+      DecodeBlock(b, &decoded);
+      size_t keep = 0;
+      size_t s = r;
+      for (const Posting& p : decoded) {
+        while (s < units.size() && units[s] < p.unit) ++s;
+        if (s < units.size() && units[s] == p.unit) continue;
+        decoded[keep++] = p;
+      }
+      removed += decoded.size() - keep;
+      rewrite = keep < decoded.size();
+      decoded.resize(keep);
+    }
+    const size_t n = rewrite ? decoded.size() : block.count;
+    if (n == 0) continue;  // the whole block went
+    // Merge with the open last block when both fit in one, so no two
+    // adjacent blocks ever hold <= kBlockPostings together.
+    const size_t last_n = !pending.empty()      ? pending.size()
+                          : out.blocks_.empty() ? 0
+                                                : out.blocks_.back().count;
+    if (last_n > 0 && last_n + n <= kBlockPostings) {
+      if (pending.empty()) {
+        // Reopen out's last encoded block.
+        const Block last = out.blocks_.back();
+        out.DecodeBlock(out.blocks_.size() - 1, &pending);
+        out.bytes_.resize(last.offset);
+        out.count_ -= last.count;
+        out.blocks_.pop_back();
+      }
+      if (scanned) {
+        pending.insert(pending.end(), decoded.begin(), decoded.end());
+      } else {
+        DecodeBlock(b, &pending);
+      }
+      continue;
+    }
+    flush();
+    if (rewrite) {
+      pending.swap(decoded);
+    } else {
+      out.CopyBlock(*this, b);
+      last_copied = true;
+    }
+  }
+  flush();
+  if (removed == 0) return std::nullopt;
+  if (last_copied) {
+    // Restore the append state from the copied last block.
+    decoded.clear();
+    out.DecodeBlock(out.blocks_.size() - 1, &decoded);
+    out.tail_unit_ = decoded.back().unit;
+    out.tail_position_ = decoded.back().position;
+  }
+  counters->postings_removed += removed;
+  counters->postings_rewritten += rewritten;
+  return out;
 }
 
 void CompressedPostings::AppendDistinctUnits(std::vector<UnitId>* out,

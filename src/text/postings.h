@@ -21,10 +21,15 @@
 // skip headers. Intersections of selective terms therefore touch a
 // handful of blocks of the long list instead of decoding it.
 //
-// Lists are append-only through Append (units non-decreasing,
-// positions increasing within a unit — the tokenizer's natural
-// order); removal rebuilds the affected list (see
-// InvertedIndex::Remove, cost proportional to that one list).
+// Lists grow through Append (units non-decreasing, positions
+// increasing within a unit — the tokenizer's natural order). Removal
+// is a block splice (WithoutUnits): blocks whose [first, last] header
+// holds no removed unit are copied as bytes, and only the blocks that
+// do — plus a neighbour small enough to merge with — are decoded and
+// encoded again. Merging keeps the list from fragmenting: no two
+// adjacent blocks together hold <= kBlockPostings postings, so
+// block_count() < 2 * size() / kBlockPostings + 2 after any number of
+// removals.
 //
 // DecodeCounters reports what a probe actually did (blocks decoded /
 // skipped, postings decoded / skipped); the index aggregates them
@@ -35,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace sgmlqdb::text {
@@ -60,6 +66,13 @@ struct DecodeCounters {
   uint64_t postings_skipped = 0;
 };
 
+/// What one WithoutUnits splice did: postings dropped, and kept
+/// postings that had to be encoded again (the rewritten blocks).
+struct SpliceCounters {
+  uint64_t postings_removed = 0;
+  uint64_t postings_rewritten = 0;
+};
+
 class CompressedPostings {
  public:
   /// Postings per block. 128 keeps blocks around one or two cache
@@ -73,6 +86,8 @@ class CompressedPostings {
   size_t size() const { return count_; }
   bool empty() const { return count_ == 0; }
   size_t block_count() const { return blocks_.size(); }
+  /// Postings in block `b` (< block_count()).
+  size_t block_postings(size_t b) const { return blocks_[b].count; }
   UnitId first_unit() const { return blocks_.front().first_unit; }
   UnitId last_unit() const { return blocks_.back().last_unit; }
 
@@ -83,8 +98,15 @@ class CompressedPostings {
   /// What the flat layout (std::vector<Posting>) would take.
   size_t FlatByteSize() const { return count_ * sizeof(Posting); }
 
-  /// Decodes the whole list, appending to `out` (rebuilds, tests).
+  /// Decodes the whole list, appending to `out` (tests).
   void DecodeAll(std::vector<Posting>* out) const;
+
+  /// This list without the postings of `units` (ascending, distinct),
+  /// built by a block splice (see file comment); a later Append
+  /// continues it. Returns nullopt, leaving `counters` untouched, when
+  /// none of `units` occurs in the list.
+  std::optional<CompressedPostings> WithoutUnits(
+      const std::vector<UnitId>& units, SpliceCounters* counters) const;
 
   /// Appends the distinct units of the whole list, ascending — the
   /// single-word lookup path. One tight pass over the raw payload
@@ -155,6 +177,15 @@ class CompressedPostings {
     uint32_t offset = 0;  // payload byte offset of the block
     uint32_t count = 0;   // postings in the block
   };
+
+  /// Decodes block `b` of this list, appending to `out`.
+  void DecodeBlock(size_t b, std::vector<Posting>* out) const;
+  /// Appends `postings` as one new block (1..kBlockPostings entries,
+  /// past every posting already in the list).
+  void AppendBlock(const Posting* postings, size_t n);
+  /// Appends a copy of `src`'s block `b` (bytes copied, offset
+  /// shifted).
+  void CopyBlock(const CompressedPostings& src, size_t b);
 
   std::vector<Block> blocks_;
   std::vector<uint8_t> bytes_;

@@ -4,6 +4,10 @@
 //    posting, multi-block),
 //  * galloping (skip-header) intersection agrees with the linear
 //    merge on random list pairs across a density sweep,
+//  * the removal splice equals a rebuild by Append (decode, distinct
+//    units, SkipToUnit from every unit, a later Append) on random
+//    lists whose units span blocks, and keeps adjacent blocks merged
+//    over 1000 random removals,
 //  * copy-on-write sharing: cloning an index and mutating the clone
 //    never disturbs the pinned original, and untouched terms keep
 //    sharing one compressed list.
@@ -16,10 +20,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <random>
+#include <set>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "base/strutil.h"
 #include "text/index.h"
+#include "text/pattern.h"
 
 namespace sgmlqdb::text {
 namespace {
@@ -188,6 +199,282 @@ TEST(GallopingParity, SkipToUnitAgreesWithLinearScan) {
   }
 }
 
+/// A random list whose units each hold 1..`max_run` postings, so long
+/// runs span block boundaries; unit gaps are 1..`max_unit_gap`.
+std::vector<Posting> RunList(std::mt19937_64& rng, size_t units,
+                             size_t max_run, uint64_t max_unit_gap) {
+  std::vector<Posting> out;
+  UnitId unit = rng() % 4;
+  for (size_t u = 0; u < units; ++u) {
+    const size_t run = 1 + rng() % max_run;
+    uint32_t position = static_cast<uint32_t>(rng() % 4);
+    for (size_t i = 0; i < run; ++i) {
+      out.push_back({unit, position});
+      position += 1 + static_cast<uint32_t>(rng() % 7);
+    }
+    unit += 1 + rng() % max_unit_gap;
+  }
+  return out;
+}
+
+std::vector<UnitId> DistinctUnits(const std::vector<Posting>& postings) {
+  std::vector<UnitId> out;
+  for (const Posting& p : postings) {
+    if (out.empty() || out.back() != p.unit) out.push_back(p.unit);
+  }
+  return out;
+}
+
+/// `postings` minus every posting of `units` (sorted).
+std::vector<Posting> Without(const std::vector<Posting>& postings,
+                             const std::vector<UnitId>& units) {
+  std::vector<Posting> out;
+  for (const Posting& p : postings) {
+    if (!std::binary_search(units.begin(), units.end(), p.unit)) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+/// No two adjacent blocks together fit in one.
+void ExpectBlocksMerged(const CompressedPostings& list) {
+  for (size_t b = 0; b + 1 < list.block_count(); ++b) {
+    ASSERT_GT(list.block_postings(b) + list.block_postings(b + 1),
+              CompressedPostings::kBlockPostings)
+        << "blocks " << b << "," << b + 1 << " of " << list.block_count();
+  }
+  EXPECT_LT(list.block_count(),
+            2 * list.size() / CompressedPostings::kBlockPostings + 2);
+}
+
+/// `spliced` behaves exactly like `expected` rebuilt by Append: same
+/// postings, distinct units, SkipToUnit landing from every unit, and
+/// the same list after further Appends.
+void ExpectSameAsRebuild(const CompressedPostings& spliced,
+                         const std::vector<Posting>& expected) {
+  CompressedPostings rebuilt = Encode(expected);
+  ASSERT_EQ(spliced.size(), expected.size());
+  std::vector<Posting> decoded;
+  spliced.DecodeAll(&decoded);
+  ASSERT_EQ(decoded, expected);
+  std::vector<UnitId> units_a;
+  std::vector<UnitId> units_b;
+  spliced.AppendDistinctUnits(&units_a);
+  rebuilt.AppendDistinctUnits(&units_b);
+  EXPECT_EQ(units_a, units_b);
+  // SkipToUnit from a fresh cursor, to every unit and to the gaps.
+  const UnitId last = expected.empty() ? 0 : expected.back().unit;
+  for (UnitId u = 0; u <= last + 1; ++u) {
+    auto a = spliced.cursor();
+    auto b = rebuilt.cursor();
+    const bool fa = a.SkipToUnit(u);
+    ASSERT_EQ(fa, b.SkipToUnit(u)) << "unit " << u;
+    if (fa) {
+      ASSERT_EQ(a.unit(), b.unit()) << "unit " << u;
+      ASSERT_EQ(a.position(), b.position()) << "unit " << u;
+    }
+  }
+  // And one cursor visiting every unit in turn.
+  auto a = spliced.cursor();
+  for (UnitId u : units_b) {
+    ASSERT_TRUE(a.SkipToUnit(u));
+    ASSERT_EQ(a.unit(), u);
+  }
+  // The append state survives the splice.
+  CompressedPostings appended = spliced;
+  std::vector<Posting> more = expected;
+  if (!more.empty()) {
+    more.push_back({more.back().unit, more.back().position + 3});
+  }
+  more.push_back({last + 2, 1});
+  more.push_back({last + 2, 4});
+  for (size_t i = expected.size(); i < more.size(); ++i) {
+    appended.Append(more[i].unit, more[i].position);
+  }
+  decoded.clear();
+  appended.DecodeAll(&decoded);
+  EXPECT_EQ(decoded, more);
+}
+
+TEST(PostingsSplice, MatchesRebuildOnRandomLists) {
+  std::mt19937_64 rng(20261020);
+  struct Shape {
+    size_t units;
+    size_t max_run;
+  };
+  // Runs up to 300 postings span two and more block boundaries.
+  const Shape shapes[] = {{1, 1}, {3, 300}, {40, 4}, {200, 3},
+                          {60, 40}, {30, 300}};
+  for (const Shape& shape : shapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const std::vector<Posting> original =
+          RunList(rng, shape.units, shape.max_run, 3);
+      const CompressedPostings list = Encode(original);
+      const std::vector<UnitId> units = DistinctUnits(original);
+      std::vector<std::vector<UnitId>> cases = {
+          {units.front()}, {units.back()}, units};
+      // A contiguous range, as a document's units are.
+      const size_t from = rng() % units.size();
+      const size_t to = from + rng() % (units.size() - from);
+      cases.emplace_back(units.begin() + static_cast<long>(from),
+                         units.begin() + static_cast<long>(to) + 1);
+      // A scattered subset, mixed with absent units.
+      std::vector<UnitId> scattered;
+      for (UnitId u = 0; u <= units.back() + 1; ++u) {
+        if (rng() % 5 == 0) scattered.push_back(u);
+      }
+      if (!scattered.empty()) cases.push_back(scattered);
+      for (const std::vector<UnitId>& removed : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "units=" << shape.units << " run=" << shape.max_run
+                     << " removing " << removed.size() << " from "
+                     << units.size());
+        const std::vector<Posting> expected = Without(original, removed);
+        SpliceCounters counters;
+        std::optional<CompressedPostings> spliced =
+            list.WithoutUnits(removed, &counters);
+        if (expected.size() == original.size()) {
+          EXPECT_FALSE(spliced.has_value());
+          continue;
+        }
+        ASSERT_TRUE(spliced.has_value());
+        EXPECT_EQ(counters.postings_removed,
+                  original.size() - expected.size());
+        ExpectSameAsRebuild(*spliced, expected);
+        ExpectBlocksMerged(*spliced);
+      }
+    }
+  }
+}
+
+TEST(PostingsSplice, AbsentUnitsLeaveTheListAlone) {
+  // Even unit ids only: every odd id falls inside some block's range.
+  std::vector<Posting> original;
+  for (UnitId u = 0; u < 400; u += 2) original.push_back({u, 1});
+  const CompressedPostings list = Encode(original);
+  SpliceCounters counters;
+  EXPECT_FALSE(list.WithoutUnits({1, 3, 255, 399, 1000}, &counters));
+  EXPECT_FALSE(list.WithoutUnits({}, &counters));
+  EXPECT_EQ(counters.postings_removed, 0u);
+  EXPECT_EQ(counters.postings_rewritten, 0u);
+}
+
+TEST(PostingsSplice, RewritesOnlyTheBlocksThatHoldTheUnit) {
+  // 100 blocks of one-posting units; removing one unit rewrites its
+  // block (plus at most a merged neighbour), never the whole list.
+  std::vector<Posting> original;
+  for (UnitId u = 0; u < 100 * CompressedPostings::kBlockPostings; ++u) {
+    original.push_back({u, 0});
+  }
+  const CompressedPostings list = Encode(original);
+  SpliceCounters counters;
+  auto spliced = list.WithoutUnits({5000}, &counters);
+  ASSERT_TRUE(spliced.has_value());
+  EXPECT_EQ(counters.postings_removed, 1u);
+  EXPECT_LE(counters.postings_rewritten,
+            2 * CompressedPostings::kBlockPostings);
+  ExpectSameAsRebuild(*spliced, Without(original, {5000}));
+}
+
+TEST(PostingsSplice, BlocksStayMergedOverManyRemovals) {
+  std::mt19937_64 rng(1000);
+  std::vector<Posting> reference = RunList(rng, 3000, 12, 2);
+  CompressedPostings list = Encode(reference);
+  for (int round = 0; round < 1000; ++round) {
+    if (rng() % 4 == 0 || reference.empty()) {
+      // Interleave loads: a few new units past the end.
+      UnitId unit = reference.empty() ? 0 : reference.back().unit + 1;
+      for (const Posting& p : RunList(rng, 1 + rng() % 3, 20, 2)) {
+        const Posting shifted{unit + p.unit, p.position};
+        reference.push_back(shifted);
+        list.Append(shifted.unit, shifted.position);
+      }
+      continue;
+    }
+    // Remove a document: 1-6 consecutive units from a random point.
+    const std::vector<UnitId> units = DistinctUnits(reference);
+    const size_t from = rng() % units.size();
+    const size_t to = std::min(units.size(), from + 1 + rng() % 6);
+    const std::vector<UnitId> removed(units.begin() + static_cast<long>(from),
+                                      units.begin() + static_cast<long>(to));
+    SpliceCounters counters;
+    std::optional<CompressedPostings> spliced =
+        list.WithoutUnits(removed, &counters);
+    ASSERT_TRUE(spliced.has_value()) << "round " << round;
+    list = std::move(*spliced);
+    reference = Without(reference, removed);
+    ASSERT_NO_FATAL_FAILURE(ExpectBlocksMerged(list)) << "round " << round;
+    if (round % 100 == 0) {
+      std::vector<Posting> decoded;
+      list.DecodeAll(&decoded);
+      ASSERT_EQ(decoded, reference) << "round " << round;
+    }
+  }
+  ExpectSameAsRebuild(list, reference);
+}
+
+TEST(IndexRemoval, RemoveDocumentMatchesAnIndexBuiltWithoutIt) {
+  std::mt19937_64 rng(77);
+  const char* vocabulary[] = {"sgml", "query", "path", "object", "text",
+                              "index", "the",  "of",   "a",      "rare"};
+  // 60 documents of 8 units each; "rare" appears in one unit only.
+  std::vector<std::pair<UnitId, std::string>> texts;
+  for (UnitId unit = 1; unit <= 480; ++unit) {
+    std::string text;
+    const size_t words = 1 + rng() % 40;
+    for (size_t i = 0; i < words; ++i) {
+      text += vocabulary[rng() % 9];
+      text += ' ';
+    }
+    if (unit == 100) text += "Rare";
+    texts.emplace_back(unit, text);
+  }
+  for (const UnitId first : {UnitId{1}, UnitId{97}, UnitId{473}}) {
+    InvertedIndex index;
+    InvertedIndex expected;
+    std::vector<std::pair<UnitId, std::string_view>> doc;
+    for (const auto& [unit, text] : texts) {
+      index.Add(unit, text);
+      if (unit >= first && unit < first + 8) {
+        doc.emplace_back(unit, text);
+      } else {
+        expected.Add(unit, text);
+      }
+    }
+    const InvertedIndex pinned = index;
+    index.RemoveDocument(doc);
+    EXPECT_EQ(index.units(), expected.units());
+    EXPECT_EQ(index.unit_count(), expected.unit_count());
+    EXPECT_EQ(index.term_count(), expected.term_count());
+    for (const char* word : vocabulary) {
+      EXPECT_EQ(index.Lookup(word), expected.Lookup(word)) << word;
+      EXPECT_EQ(index.NearLookup(word, "the", 2),
+                expected.NearLookup(word, "the", 2))
+          << word;
+    }
+    const text::IndexMaintenanceStats& stats = index.maintenance_stats();
+    EXPECT_EQ(stats.units_removed, 8u);
+    EXPECT_EQ(stats.postings_removed,
+              index.maintenance_stats().postings_added -
+                  expected.maintenance_stats().postings_added);
+    // Every term of the document was shared with the pinned copy and
+    // spliced once, however many of its units held it.
+    std::set<std::string> doc_terms;
+    for (const auto& [unit, text] : doc) {
+      for (const std::string& token : Tokenize(text)) {
+        doc_terms.insert(AsciiToLower(token));
+      }
+    }
+    EXPECT_EQ(stats.term_copies, doc_terms.size());
+    // Removing it again (or any unindexed unit) changes nothing.
+    const InvertedIndex after = index;
+    index.RemoveDocument(doc);
+    EXPECT_EQ(index.maintenance_stats().units_removed, 8u);
+    EXPECT_EQ(index.Postings("the").get(), after.Postings("the").get());
+  }
+}
+
 TEST(PostingsCow, CloneAndRemoveLeavesPinnedSnapshotIntact) {
   InvertedIndex original;
   original.Add(1, "galloping skip pointers");
@@ -199,7 +486,7 @@ TEST(PostingsCow, CloneAndRemoveLeavesPinnedSnapshotIntact) {
   EXPECT_EQ(original.Postings("galloping").get(),
             clone.Postings("galloping").get());
 
-  clone.Remove(2, "galloping intersection of postings");
+  clone.RemoveDocument({{2, "galloping intersection of postings"}});
   EXPECT_EQ(clone.Lookup("galloping"), (std::vector<UnitId>{1}));
   EXPECT_TRUE(clone.Lookup("intersection").empty());
   // The pinned original still answers from its own postings.
